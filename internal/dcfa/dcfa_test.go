@@ -2,6 +2,7 @@ package dcfa
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/ib"
@@ -322,5 +323,26 @@ func TestDelegatedRegMRFaultsOnBadRange(t *testing.T) {
 	})
 	if err := r.eng.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFinishedRigsReleaseDaemons checks that running DCFA rigs to
+// completion leaves no daemon parked: a parked daemon would keep its
+// whole simulated world reachable for the life of the process.
+func TestFinishedRigsReleaseDaemons(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		r := newRig()
+		r.eng.Spawn("rank", func(p *sim.Proc) {
+			if _, err := r.mic[0].AllocPD(p); err != nil {
+				t.Error(err)
+			}
+		})
+		if err := r.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d after 20 finished rigs", before, after)
 	}
 }

@@ -2,7 +2,7 @@
 // simulation engine.
 //
 // The engine owns a virtual clock. Simulated activities are either
-// processes (Proc) — goroutines that run cooperatively, exactly one at a
+// processes (Proc) — coroutines that run cooperatively, exactly one at a
 // time, and advance the clock by sleeping or blocking — or scheduled
 // callbacks (Engine.At / Engine.After) used by hardware models to deliver
 // completions. Because only one process runs at any instant and ties are
@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -161,11 +162,15 @@ func NewEngine() *Engine {
 
 // fpMix folds one 64-bit word into the event-order digest.
 func (e *Engine) fpMix(x uint64) {
-	for i := 0; i < 8; i++ {
-		e.fp ^= x & 0xff
-		e.fp *= fnv64Prime
-		x >>= 8
-	}
+	h := e.fp
+	h = (h ^ x&0xff) * fnv64Prime
+	h = (h ^ x>>8&0xff) * fnv64Prime
+	h = (h ^ x>>16&0xff) * fnv64Prime
+	h = (h ^ x>>24&0xff) * fnv64Prime
+	h = (h ^ x>>32&0xff) * fnv64Prime
+	h = (h ^ x>>40&0xff) * fnv64Prime
+	h = (h ^ x>>48&0xff) * fnv64Prime
+	e.fp = (h ^ x>>56) * fnv64Prime
 }
 
 // Fingerprint returns an order-sensitive FNV-1a digest of every event
@@ -216,15 +221,8 @@ func (e *Engine) After(d Duration, fn func()) {
 // first activation at the current virtual time. It may be called before
 // Run or from inside a running simulation.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		id:     len(e.procs),
-		resume: make(chan struct{}),
-		parked: make(chan parkMsg),
-	}
+	p := &Proc{eng: e, name: name, id: len(e.procs), fn: fn}
 	e.procs = append(e.procs, p)
-	go p.run(fn)
 	e.schedule(e.now, p, nil)
 	return p
 }
@@ -251,7 +249,8 @@ func (d *DeadlockError) Error() string {
 // Run executes the simulation until the calendar drains, a process
 // panics, or Stop is called. It returns nil on a clean drain with every
 // process finished, a *DeadlockError if blocked processes remain, or the
-// panic value wrapped in an error.
+// panic value wrapped in an error. Every process still unfinished when
+// Run returns, daemons included, is released (see killAll).
 func (e *Engine) Run() error {
 	for !e.queue.empty() {
 		if e.stopped {
@@ -293,41 +292,49 @@ func (e *Engine) Run() error {
 			stuck = append(stuck, p.name)
 		}
 	}
+	e.killAll()
 	if len(stuck) > 0 {
 		sort.Strings(stuck)
-		e.killAll()
 		return &DeadlockError{Now: e.now, Stuck: stuck}
 	}
 	return nil
 }
 
-// dispatch resumes p and waits for it to park again.
-func (e *Engine) dispatch(p *Proc) error {
-	e.current = p
-	p.resume <- struct{}{}
-	msg := <-p.parked
-	e.current = nil
-	switch msg.kind {
-	case parkBlocked, parkScheduled:
-		return nil
-	case parkFinished:
-		p.finished = true
-		return nil
-	case parkPanicked:
-		p.finished = true
-		return fmt.Errorf("sim: process %q panicked: %v", p.name, msg.panicVal)
+// dispatch resumes p's coroutine, creating it on first use, until p
+// parks again or returns. A panic in p surfaces through next.
+func (e *Engine) dispatch(p *Proc) (err error) {
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
 	}
-	panic("sim: unknown park kind")
+	e.current = p
+	defer func() {
+		e.current = nil
+		if r := recover(); r != nil {
+			p.finished = true
+			err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+		}
+	}()
+	if _, parked := p.next(); !parked {
+		p.finished = true
+	}
+	return nil
 }
 
-// killAll marks all processes dead so their goroutines can be collected.
-// Parked goroutines stay blocked on their resume channels; they hold no
-// locks and are garbage once the engine is unreachable, but we unblock
-// finished bookkeeping for deterministic tests.
+// killAll releases every unfinished process, in spawn order. A parked
+// coroutine is stopped: its pending yield returns false, park unwinds it
+// with errProcKilled, its deferred calls run (they can no longer move the
+// clock) and its goroutine exits, so a finished engine pins nothing. A
+// process never dispatched has no coroutine; its body never runs.
 func (e *Engine) killAll() {
 	for _, p := range e.procs {
-		if !p.finished {
-			p.dead = true
+		if p.finished {
+			continue
+		}
+		p.dead = true
+		if p.stop != nil {
+			e.current = p
+			p.stop()
+			e.current = nil
 		}
 	}
 }

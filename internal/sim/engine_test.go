@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -327,5 +329,88 @@ func TestQuickSleepOrdering(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAbandonedProcsUnwind checks that processes left unfinished when Run
+// returns, on Stop, on a deadlock, on another process's panic or parked
+// as daemons at a clean drain, are unwound: their deferred calls run, a
+// deferred Sleep or Wait unwinds instead of parking or moving the clock,
+// no coroutine outlives Run, and Run returns its usual result without a
+// panic escaping.
+func TestAbandonedProcsUnwind(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		daemons bool
+		end     func(e *Engine, p *Proc)
+		want    func(err error) bool
+	}{
+		{"stop", false, func(e *Engine, p *Proc) { e.Stop(); p.Sleep(Microsecond) },
+			func(err error) bool { return err == ErrStopped }},
+		{"deadlock", false, func(*Engine, *Proc) {},
+			func(err error) bool { _, ok := err.(*DeadlockError); return ok }},
+		{"panic", false, func(*Engine, *Proc) { panic("kaboom") },
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "kaboom") }},
+		{"drain", true, func(*Engine, *Proc) {},
+			func(err error) bool { return err == nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			e := NewEngine()
+			never := NewEvent(e)
+			var unwound []string
+			for _, name := range []string{"sleeper", "waiter"} {
+				e.Spawn(name, func(p *Proc) {
+					if tc.daemons {
+						p.MarkDaemon()
+					}
+					defer func() { unwound = append(unwound, p.Name()) }()
+					defer func() {
+						if p.Name() == "sleeper" {
+							p.Sleep(Millisecond)
+						} else {
+							never.Wait(p)
+						}
+						t.Errorf("%s: deferred park returned", p.Name())
+					}()
+					never.Wait(p)
+				})
+			}
+			e.Spawn("ender", func(p *Proc) {
+				p.Sleep(Microsecond)
+				tc.end(e, p)
+			})
+			err := e.Run()
+			if !tc.want(err) {
+				t.Fatalf("Run returned %v", err)
+			}
+			if !slices.Equal(unwound, []string{"sleeper", "waiter"}) {
+				t.Fatalf("unwound %v, want [sleeper waiter]", unwound)
+			}
+			if e.Now() != Microsecond {
+				t.Fatalf("clock at %v after Run, want %v", e.Now(), Microsecond)
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("goroutines %d -> %d: abandoned coroutines still live", before, after)
+			}
+		})
+	}
+}
+
+// TestNeverDispatchedProcReleased checks that a process spawned but never
+// dispatched gets no coroutine and never runs its body.
+func TestNeverDispatchedProcReleased(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	var late *Proc
+	e.Spawn("stopper", func(p *Proc) {
+		e.Stop()
+		late = e.Spawn("late", func(*Proc) { ran = true })
+	})
+	if err := e.Run(); err != ErrStopped {
+		t.Fatalf("got %v, want ErrStopped", err)
+	}
+	if ran || late.next != nil || !late.dead {
+		t.Fatalf("late proc: ran=%v coroutine=%v dead=%v, want released unrun", ran, late.next != nil, late.dead)
 	}
 }

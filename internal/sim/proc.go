@@ -2,30 +2,19 @@ package sim
 
 import "fmt"
 
-type parkKind int
-
-const (
-	parkBlocked   parkKind = iota // waiting on an Event/Signal/Queue; no timer
-	parkScheduled                 // a wake event is already in the calendar
-	parkFinished                  // process function returned
-	parkPanicked                  // process function panicked
-)
-
-type parkMsg struct {
-	kind     parkKind
-	panicVal any
-}
-
-// Proc is a simulated process: a goroutine that runs only when the engine
+// Proc is a simulated process: a coroutine that runs only when the engine
 // dispatches it and that advances virtual time by sleeping or blocking.
-// All Proc methods must be called from the process's own goroutine while
-// it is running.
+// Its coroutine is created on first dispatch, so a process that never
+// runs holds none. All Proc methods must be called from the process
+// itself while it is running.
 type Proc struct {
 	eng      *Engine
 	name     string
 	id       int
-	resume   chan struct{}
-	parked   chan parkMsg
+	fn       func(p *Proc)           // body, started by the first dispatch
+	next     func() (struct{}, bool) // resumes the coroutine until it parks
+	stop     func()                  // unwinds a parked coroutine
+	yield    func(struct{}) bool     // parks the coroutine
 	finished bool
 	dead     bool
 	daemon   bool
@@ -56,31 +45,28 @@ func (p *Proc) Now() Time { return p.eng.now }
 // computing (not blocked).
 func (p *Proc) Busy() Duration { return p.busy }
 
-// run is the goroutine body backing the process.
-func (p *Proc) run(fn func(p *Proc)) {
-	<-p.resume // wait for first dispatch
+// run is the coroutine body backing the process. A dead process's panic,
+// errProcKilled from park or anything its deferred calls raise while
+// unwinding, has nowhere to go and is swallowed; any other panic
+// surfaces through next in dispatch.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
-		if r := recover(); r != nil {
-			if r == errProcKilled {
-				// Engine tore us down; exit silently.
-				return
-			}
-			p.parked <- parkMsg{kind: parkPanicked, panicVal: r}
-			return
+		if p.dead {
+			_ = recover()
 		}
-		p.parked <- parkMsg{kind: parkFinished}
 	}()
-	fn(p)
+	p.fn(p)
 }
 
 // errProcKilled is thrown to unwind a process the engine abandoned.
 var errProcKilled = fmt.Errorf("sim: proc killed")
 
-// park hands control back to the engine and waits to be resumed.
-func (p *Proc) park(kind parkKind) {
-	p.parked <- parkMsg{kind: kind}
-	<-p.resume
-	if p.dead {
+// park hands control back to the engine until the next dispatch: a wake
+// event is already scheduled, or some other party must call wake. A false
+// yield means the engine is releasing the process, which then unwinds.
+func (p *Proc) park() {
+	if !p.yield(struct{}{}) {
 		panic(errProcKilled)
 	}
 }
@@ -95,6 +81,9 @@ func (p *Proc) park(kind parkKind) {
 // schedules stay distinguishable. This is what keeps thousand-rank
 // runs — millions of staging-copy sleeps — wall-clock sane.
 func (p *Proc) Sleep(d Duration) {
+	if p.dead {
+		panic(errProcKilled)
+	}
 	if d < 0 {
 		d = 0
 	}
@@ -108,25 +97,22 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	e.schedule(e.now+d, p, nil)
-	p.park(parkScheduled)
+	p.park()
 }
 
 // Yield reschedules the process at the current time, letting every other
 // event already queued for this instant run first. When nothing is
 // queued for this instant the round-trip is a no-op and is skipped.
 func (p *Proc) Yield() {
+	if p.dead {
+		panic(errProcKilled)
+	}
 	e := p.eng
 	if !e.stopped && (e.queue.empty() || e.queue[0].at > e.now) {
 		return
 	}
 	e.schedule(e.now, p, nil)
-	p.park(parkScheduled)
-}
-
-// block parks the process with no pending wake; some other party must
-// call wake.
-func (p *Proc) block() {
-	p.park(parkBlocked)
+	p.park()
 }
 
 // wake schedules the process to resume at the current virtual time.
@@ -173,7 +159,7 @@ func (ev *Event) Wait(p *Proc) {
 		return
 	}
 	ev.waiters = append(ev.waiters, p)
-	p.block()
+	p.park()
 }
 
 // Signal is an edge-triggered broadcast: Wait blocks until the next
@@ -199,5 +185,5 @@ func (s *Signal) Broadcast() {
 // Wait blocks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.block()
+	p.park()
 }

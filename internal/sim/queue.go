@@ -46,7 +46,7 @@ func (q *Queue[T]) Get(p *Proc) T {
 			return v
 		}
 		q.getters = append(q.getters, p)
-		p.block()
+		p.park()
 	}
 }
 
@@ -91,7 +91,7 @@ func (s *Semaphore) TryAcquire() bool {
 func (s *Semaphore) Acquire(p *Proc) {
 	for !s.TryAcquire() {
 		s.waiters = append(s.waiters, p)
-		p.block()
+		p.park()
 	}
 }
 
