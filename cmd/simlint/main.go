@@ -69,7 +69,7 @@
 //
 //	nondet    wall-clock time, math/rand globals, env reads in sim-driven packages
 //	maporder  order-sensitive work inside range-over-map
-//	rawgo     goroutines, sync, and channels outside internal/sim
+//	rawgo     goroutines, sync, and channels anywhere, internal/sim included
 //	errcheck  dropped error returns from MPI operations
 //	floatsum  float accumulation in map-iteration or goroutine order
 //	mrleak    RegMR/RegMRBuffer results must reach DeregMR on all paths

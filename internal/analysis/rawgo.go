@@ -6,19 +6,16 @@ import (
 )
 
 // RawGo flags real concurrency — go statements, the sync packages, and
-// channel construction — everywhere except the sim engine internals.
-// The engine is the only component allowed to own goroutines: it runs
-// exactly one simulated process at a time and sequences everything
-// else through the virtual calendar. Concurrency introduced anywhere
-// else races against that schedule and destroys reproducibility.
+// channel construction — everywhere, the sim engine included: the
+// engine runs each simulated process as a coroutine, exactly one at a
+// time, and sequences everything else through the virtual calendar, so
+// it needs none of them. Concurrency introduced anywhere races against
+// that schedule and destroys reproducibility.
 var RawGo = &Analyzer{
 	Name:  "rawgo",
 	Scope: ScopeIntra,
-	Doc:   "forbid goroutines, sync primitives, and channels outside internal/sim",
-	AppliesTo: func(p *Pass) bool {
-		return !p.inModule("internal/sim")
-	},
-	Run: runRawGo,
+	Doc:   "forbid goroutines, sync primitives, and channels anywhere: the sim engine sequences all concurrency",
+	Run:   runRawGo,
 }
 
 func runRawGo(p *Pass) {
@@ -29,17 +26,17 @@ func runRawGo(p *Pass) {
 				continue
 			}
 			if path == "sync" || path == "sync/atomic" {
-				p.Reportf(imp.Pos(), "import of %s outside internal/sim: real locking orders run under the host scheduler, not the virtual calendar", path)
+				p.Reportf(imp.Pos(), "import of %s outside internal/sim's scheduler: real locking orders run under the host scheduler, not the virtual calendar", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				p.Reportf(n.Pos(), "raw goroutine outside internal/sim: spawn simulated processes with Engine.Spawn so dispatch order stays deterministic")
+				p.Reportf(n.Pos(), "raw goroutine outside internal/sim's scheduler: spawn simulated processes with Engine.Spawn so dispatch order stays deterministic")
 			case *ast.CallExpr:
 				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "make" && len(n.Args) > 0 {
 					if _, isChan := n.Args[0].(*ast.ChanType); isChan {
-						p.Reportf(n.Pos(), "channel construction outside internal/sim: use sim.Queue/sim.Event for deterministic rendezvous")
+						p.Reportf(n.Pos(), "channel construction outside internal/sim's scheduler: use sim.Queue/sim.Event for deterministic rendezvous")
 					}
 				}
 			}

@@ -702,7 +702,7 @@ func (r *Rank) trySendEager(p *sim.Proc, req *Request) {
 		return
 	}
 	req.state = stEagerSent
-	r.trace("eager-send", "to=%d seq=%d n=%d", req.peer, req.seq, req.slice.N)
+	r.trace3("eager-send", "to=%d seq=%d n=%d", int64(req.peer), int64(req.seq), int64(req.slice.N))
 }
 
 // startRendezvousSend stages (or registers) the send buffer, then either

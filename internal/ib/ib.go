@@ -68,9 +68,7 @@ func (f *Fabric) AttachHCA(n *machine.Node) *HCA {
 		Node:     n,
 		LID:      uint16(len(f.hcas) + 1),
 		qps:      make(map[uint32]*QP),
-		mrs:      make(map[uint32]*MR),
 		nextQPN:  0x100,
-		nextKey:  0x1000,
 		Doorbell: sim.NewSignal(f.Eng),
 	}
 	h.actor = fmt.Sprintf("hca%d", h.LID)
@@ -101,8 +99,13 @@ type HCA struct {
 
 	nextQPN uint32
 	qps     map[uint32]*QP
-	nextKey uint32
-	mrs     map[uint32]*MR
+	// mrs is indexed by key-firstKey: keys are handed out sequentially
+	// and never reused, so a dense slice replaces a map lookup on every
+	// SGE check. A deregistered region leaves a nil slot.
+	mrs []*MR
+
+	// writeFree recycles the records of landed RDMA writes.
+	writeFree []*writeOp
 
 	// Doorbell broadcasts whenever remote data lands in this node
 	// (RDMA payloads, receives, read responses): the simulation
@@ -163,18 +166,29 @@ func (h *HCA) regMR(pd *PD, dom *machine.Domain, addr uint64, n int) (*MR, error
 	if err != nil {
 		return nil, fmt.Errorf("ib: register: %w", err)
 	}
-	h.nextKey++
-	mr := &MR{PD: pd, Dom: dom, Addr: addr, Len: n, LKey: h.nextKey, RKey: h.nextKey, data: data, hca: h}
-	h.mrs[mr.LKey] = mr
+	key := firstKey + uint32(len(h.mrs))
+	mr := &MR{PD: pd, Dom: dom, Addr: addr, Len: n, LKey: key, RKey: key, data: data, hca: h}
+	h.mrs = append(h.mrs, mr)
 	return mr, nil
+}
+
+// firstKey is the first memory key an HCA hands out.
+const firstKey = 0x1001
+
+// mr returns the live region registered under key, or nil.
+func (h *HCA) mr(key uint32) *MR {
+	if i := uint64(key) - firstKey; i < uint64(len(h.mrs)) {
+		return h.mrs[i]
+	}
+	return nil
 }
 
 // deregMR removes the region; later accesses with its keys fault.
 func (h *HCA) deregMR(mr *MR) error {
-	if _, ok := h.mrs[mr.LKey]; !ok {
+	if h.mr(mr.LKey) != mr {
 		return fmt.Errorf("ib: dereg of unknown MR lkey=%#x", mr.LKey)
 	}
-	delete(h.mrs, mr.LKey)
+	h.mrs[mr.LKey-firstKey] = nil
 	mr.invalid = true
 	return nil
 }
@@ -182,8 +196,8 @@ func (h *HCA) deregMR(mr *MR) error {
 // lookupMR validates that [addr, addr+n) is covered by the MR with the
 // given key and returns the backing bytes.
 func (h *HCA) lookupMR(key uint32, addr uint64, n int) ([]byte, *MR, error) {
-	mr, ok := h.mrs[key]
-	if !ok {
+	mr := h.mr(key)
+	if mr == nil {
 		//simlint:ignore hotalloc error construction runs only on the invalid-key branch
 		return nil, nil, fmt.Errorf("ib: key %#x not registered on LID %d", key, h.LID)
 	}

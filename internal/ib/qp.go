@@ -39,7 +39,7 @@ type QP struct {
 	recvQueue []*RecvWR
 	// pending holds SEND payloads that arrived before a receive was
 	// posted (the simulator's RNR condition).
-	pending []*inbound
+	pending []inbound
 
 	// Stats.
 	PostedSends int64
@@ -147,9 +147,22 @@ func (qp *QP) PostRecv(p *sim.Proc, wr *RecvWR) error {
 	return nil
 }
 
+// arrive hands an inbound SEND or WRITE_IMM to the oldest posted
+// receive, or holds it until one is posted (RNR).
+func (qp *QP) arrive(in inbound) {
+	if len(qp.recvQueue) > 0 {
+		wr := qp.recvQueue[0]
+		qp.recvQueue = qp.recvQueue[1:]
+		qp.deliver(in, wr)
+		return
+	}
+	qp.ctx.HCA.RNRWaits++
+	qp.pending = append(qp.pending, in)
+}
+
 // deliver scatters an inbound SEND payload into a posted receive and
 // completes it on the receive CQ at the current virtual time.
-func (qp *QP) deliver(in *inbound, wr *RecvWR) {
+func (qp *QP) deliver(in inbound, wr *RecvWR) {
 	h := qp.ctx.HCA
 	total := 0
 	for _, sge := range wr.SGL {
@@ -183,10 +196,11 @@ func (qp *QP) deliver(in *inbound, wr *RecvWR) {
 	})
 }
 
-// gather snapshots the local SGL into one contiguous payload, returning
-// also the slowest source-domain DMA read rate across elements and the
-// memory kind of the first element (the telemetry source direction).
-func (qp *QP) gather(sgl []SGE) ([]byte, float64, machine.DomainKind, error) {
+// gather snapshots the local SGL into one contiguous payload, reusing
+// buf's backing when it is large enough, and returns also the slowest
+// source-domain DMA read rate across elements and the memory kind of
+// the first element (the telemetry source direction).
+func (qp *QP) gather(buf []byte, sgl []SGE) ([]byte, float64, machine.DomainKind, error) {
 	h := qp.ctx.HCA
 	plat := h.fab.Plat
 	rate := plat.HCAReadHost
@@ -195,7 +209,10 @@ func (qp *QP) gather(sgl []SGE) ([]byte, float64, machine.DomainKind, error) {
 	for _, sge := range sgl {
 		total += sge.Len
 	}
-	buf := make([]byte, 0, total)
+	if cap(buf) < total {
+		buf = make([]byte, 0, total)
+	}
+	buf = buf[:0]
 	for i, sge := range sgl {
 		src, mr, err := h.lookupMR(sge.LKey, sge.Addr, sge.Len)
 		if err != nil {
@@ -245,7 +262,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 
 	switch wr.Opcode {
 	case OpSend, OpSendImm:
-		payload, readRate, _, err := qp.gather(wr.SGL)
+		payload, readRate, _, err := qp.gather(nil, wr.SGL)
 		if err != nil {
 			return fmt.Errorf("ib: post send: %w", err)
 		}
@@ -258,15 +275,7 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		h.BytesOut += int64(len(payload))
 		eng := h.fab.Eng
 		eng.At(arrive, func() {
-			in := &inbound{data: payload, imm: wr.Imm, hasImm: wr.Opcode == OpSendImm, srcQPN: qp.QPN}
-			if len(rem.recvQueue) > 0 {
-				rwr := rem.recvQueue[0]
-				rem.recvQueue = rem.recvQueue[1:]
-				rem.deliver(in, rwr)
-			} else {
-				rem.ctx.HCA.RNRWaits++
-				rem.pending = append(rem.pending, in)
-			}
+			rem.arrive(inbound{data: payload, imm: wr.Imm, hasImm: wr.Opcode == OpSendImm, srcQPN: qp.QPN})
 		})
 		if wr.Signaled {
 			eng.At(arrive+plat.IBLatency, func() {
@@ -276,10 +285,13 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 		return nil
 
 	case OpRDMAWrite, OpRDMAWriteImm:
-		payload, readRate, srcKind, err := qp.gather(wr.SGL)
+		op := h.newWriteOp()
+		payload, readRate, srcKind, err := qp.gather(op.payload, wr.SGL)
 		if err != nil {
+			h.releaseWrite(op)
 			return fmt.Errorf("ib: post send: %w", err)
 		}
+		op.payload = payload
 		eng := h.fab.Eng
 		// Peek the destination domain for the rate; re-validate keys at
 		// arrival so a concurrent dereg still faults.
@@ -305,6 +317,10 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			// gives up. The payload may or may not have landed first —
 			// both halves of that ambiguity must be survivable, which
 			// is what the upper layer's sequence-id dedupe is for.
+			// This rare path keeps its own payload copy and returns the
+			// record at once.
+			payload = append([]byte(nil), payload...)
+			h.releaseWrite(op)
 			eng.At(arrive, func() {
 				wsp.End(eng.Now())
 				if delivered {
@@ -322,37 +338,11 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 			})
 			return nil
 		}
-		eng.At(arrive, func() {
-			wsp.End(eng.Now())
-			dst, _, err := rem.ctx.HCA.lookupMR(wr.Remote.RKey, wr.Remote.Addr, len(payload))
-			if err != nil {
-				if wr.Signaled {
-					eng.At(eng.Now()+plat.IBLatency, func() {
-						qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusRemAccessErr, Opcode: wr.Opcode, QPN: qp.QPN})
-					})
-				}
-				qp.SetError()
-				return
-			}
-			copy(dst, payload)
-			if wr.Opcode == OpRDMAWriteImm {
-				in := &inbound{data: nil, imm: wr.Imm, hasImm: true, srcQPN: qp.QPN}
-				if len(rem.recvQueue) > 0 {
-					rwr := rem.recvQueue[0]
-					rem.recvQueue = rem.recvQueue[1:]
-					rem.deliver(in, rwr)
-				} else {
-					rem.ctx.HCA.RNRWaits++
-					rem.pending = append(rem.pending, in)
-				}
-			}
-			rem.ctx.HCA.Doorbell.Broadcast()
-			if wr.Signaled {
-				eng.At(eng.Now()+plat.IBLatency, func() {
-					qp.SendCQ.push(CQE{WRID: wr.WRID, Status: StatusSuccess, Opcode: wr.Opcode, ByteLen: len(payload), QPN: qp.QPN})
-				})
-			}
-		})
+		op.qp, op.rem = qp, rem
+		op.wrid, op.opcode, op.imm, op.signaled = wr.WRID, wr.Opcode, wr.Imm, wr.Signaled
+		op.remote = wr.Remote
+		op.span = wsp
+		eng.At(arrive, op.landFn)
 		return nil
 
 	case OpRDMARead:
@@ -490,4 +480,99 @@ func (qp *QP) PostSend(p *sim.Proc, wr *SendWR) error {
 	default:
 		return fmt.Errorf("ib: unsupported opcode %v", wr.Opcode)
 	}
+}
+
+// writeOp is one posted RDMA write in flight: the payload gathered at
+// post time, the remote QP bound at post time (a later Reset of the
+// sender must not redirect it), and the two engine callbacks — the
+// landing, then the sender's completion — bound once when the record
+// is created, so scheduling them allocates nothing. Records and their
+// payload buffers recycle through the posting HCA's free list.
+type writeOp struct {
+	qp, rem  *QP
+	wrid     uint64
+	opcode   Opcode
+	imm      uint32
+	signaled bool
+	remote   RemoteAddr
+	payload  []byte
+	status   Status // StatusSuccess unless the landing faulted
+	span     *metrics.Span
+
+	landFn, cqeFn func()
+}
+
+// maxPooledPayload caps the payload buffer a recycled writeOp keeps;
+// larger (rendezvous-sized) buffers are dropped on release so the free
+// list does not pin the largest write ever posted.
+const maxPooledPayload = 64 << 10
+
+// newWriteOp takes a record from the free list, or makes one and binds
+// its callbacks.
+func (h *HCA) newWriteOp() *writeOp {
+	if n := len(h.writeFree); n > 0 {
+		op := h.writeFree[n-1]
+		h.writeFree = h.writeFree[:n-1]
+		return op
+	}
+	op := &writeOp{}
+	op.landFn, op.cqeFn = op.land, op.cqe
+	return op
+}
+
+// releaseWrite returns op to the free list, keeping its payload
+// backing unless it exceeds maxPooledPayload.
+func (h *HCA) releaseWrite(op *writeOp) {
+	buf := op.payload[:0]
+	if cap(buf) > maxPooledPayload {
+		buf = nil
+	}
+	*op = writeOp{payload: buf, landFn: op.landFn, cqeFn: op.cqeFn}
+	h.writeFree = append(h.writeFree, op)
+}
+
+// land runs when the write's last byte reaches the remote HCA: keys are
+// re-validated (a dereg since post faults the write and errors the
+// QP), the payload is placed, and a WRITE_IMM consumes a receive.
+//
+//simlint:hot
+func (op *writeOp) land() {
+	qp, rem := op.qp, op.rem
+	op.span.End(qp.ctx.HCA.fab.Eng.Now())
+	dst, _, err := rem.ctx.HCA.lookupMR(op.remote.RKey, op.remote.Addr, len(op.payload))
+	if err != nil {
+		op.status = StatusRemAccessErr
+		op.finish()
+		qp.SetError()
+		return
+	}
+	copy(dst, op.payload)
+	if op.opcode == OpRDMAWriteImm {
+		rem.arrive(inbound{imm: op.imm, hasImm: true, srcQPN: qp.QPN})
+	}
+	rem.ctx.HCA.Doorbell.Broadcast()
+	op.finish()
+}
+
+// finish schedules a signaled write's completion one wire latency
+// after landing, or recycles an unsignaled write's record at once.
+func (op *writeOp) finish() {
+	h := op.qp.ctx.HCA
+	if !op.signaled {
+		h.releaseWrite(op)
+		return
+	}
+	h.fab.Eng.At(h.fab.Eng.Now()+h.fab.Plat.IBLatency, op.cqeFn)
+}
+
+// cqe pushes a signaled write's completion and recycles the record.
+//
+//simlint:hot
+func (op *writeOp) cqe() {
+	e := CQE{WRID: op.wrid, Status: op.status, Opcode: op.opcode, QPN: op.qp.QPN}
+	if op.status == StatusSuccess {
+		e.ByteLen = len(op.payload)
+	}
+	op.qp.SendCQ.push(e)
+	op.qp.ctx.HCA.releaseWrite(op)
 }

@@ -136,7 +136,10 @@ func (q *CQ) PollInto(p *sim.Proc, out []CQE) int {
 		return 0
 	}
 	copy(out, q.entries[:n])
-	q.entries = q.entries[n:]
+	// Shift the rest to the front rather than reslicing past the
+	// consumed prefix, so pushes keep reusing one backing array (a
+	// full drain, the common case, moves nothing).
+	q.entries = q.entries[:copy(q.entries, q.entries[n:])]
 	p.Sleep(q.ctx.HCA.fab.Plat.PollCost(q.ctx.Loc))
 	return n
 }

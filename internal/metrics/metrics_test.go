@@ -49,6 +49,25 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
+// TestNilSpanCostsNothing pins the metrics-off fast path: a nil span's
+// annotation and child calls sit on per-message paths, so they must
+// not allocate (AttrInt once formatted its value before the nil check).
+func TestNilSpanCostsNothing(t *testing.T) {
+	var s *Span
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"AttrInt", func() { s.AttrInt("bytes", 123456) }},
+		{"Attr", func() { s.Attr("pair", "host->mic") }},
+		{"Child", func() { s.Child(1, "child") }},
+	} {
+		if n := testing.AllocsPerRun(100, c.f); n != 0 {
+			t.Errorf("(*Span)(nil).%s: %v allocations per call, want 0", c.name, n)
+		}
+	}
+}
+
 func TestNilRegistryAndHandles(t *testing.T) {
 	var r *Registry
 	c := r.Counter("a", "n")

@@ -86,6 +86,9 @@ func (s *Span) Attr(key, val string) *Span {
 
 // AttrInt appends one integer annotation. Safe on nil.
 func (s *Span) AttrInt(key string, v int64) *Span {
+	if s == nil {
+		return nil
+	}
 	return s.Attr(key, strconv.FormatInt(v, 10))
 }
 
